@@ -129,7 +129,8 @@ int phase_resident(const PhaseArgs& a) {
   core::PipelineConfig config = core::PipelineConfig::optimized();
   config.pool = &pool;
   const core::VoxelTask task{0, static_cast<std::uint32_t>(a.task_voxels)};
-  const core::TaskResult result = core::run_task_grouped(norm, task, config,
+  core::ResidentEpochs source(norm);
+  const core::TaskResult result = core::run_task_grouped(source, task, config,
                                                          /*group_voxels=*/32);
   write_accuracies(a.dir + "/resident.acc", result.accuracy);
   std::ofstream stats(a.dir + "/resident.stats");

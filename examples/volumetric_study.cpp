@@ -62,7 +62,8 @@ int main() {
   const fmri::NormalizedEpochs epochs = fmri::normalize_epochs(scan, usable);
   core::Scoreboard board(scan.voxels());
   const core::VoxelTask all{0, static_cast<std::uint32_t>(scan.voxels())};
-  board.add(core::run_task_grouped(epochs, all,
+  core::ResidentEpochs source(epochs);
+  board.add(core::run_task_grouped(source, all,
                                    core::PipelineConfig::optimized(), 64));
   std::printf("pipeline (grouped, 64 voxels in flight): %.1f s\n",
               timer.seconds());

@@ -1,5 +1,7 @@
 #include "common/cli.hpp"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -59,11 +61,28 @@ std::string Cli::get(const std::string& name) const {
 }
 
 long long Cli::get_int(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  const std::string value = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  FCMA_CHECK(!value.empty() && end == value.c_str() + value.size() &&
+                 errno != ERANGE,
+             "--" + name + " expects an integer, got '" + value + "'");
+  return parsed;
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  const std::string value = get(name);
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(value.c_str(), &end);
+  // ERANGE also flags underflow to a (representable) tiny value; only an
+  // overflow to +-HUGE_VAL loses the number.
+  const bool overflow = errno == ERANGE && std::fabs(parsed) == HUGE_VAL;
+  FCMA_CHECK(!value.empty() && end == value.c_str() + value.size() &&
+                 !overflow,
+             "--" + name + " expects a number, got '" + value + "'");
+  return parsed;
 }
 
 bool Cli::get_bool(const std::string& name) const {

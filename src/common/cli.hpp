@@ -26,6 +26,8 @@ class Cli {
   bool parse(int argc, const char* const* argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// Numeric getters throw fcma::Error naming the flag when the value is
+  /// empty, has trailing characters, or overflows the result type.
   [[nodiscard]] long long get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;

@@ -1,6 +1,7 @@
 #include "fcma/corr_norm.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -54,6 +55,9 @@ linalg::ConstMatrixView task_rows(const linalg::Matrix& epoch,
                                  epoch.cols(), epoch.ld()};
 }
 
+// Voxel chunks per pool worker in the merged sweep.
+constexpr std::size_t kChunksPerWorker = 4;
+
 }  // namespace
 
 linalg::Matrix make_corr_buffer(const VoxelTask& task, std::size_t epochs,
@@ -101,7 +105,8 @@ void baseline_correlate_normalize(const fmri::NormalizedEpochs& epochs,
 }
 
 void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
-                                   linalg::MatrixView out, NormMode mode) {
+                                   linalg::MatrixView out, NormMode mode,
+                                   threading::ThreadPool* pool) {
   const std::size_t m_total = epochs.meta().size();
   FCMA_CHECK(out.rows == task.count * m_total, "bad corr buffer shape");
   if (mode == NormMode::kSeparated) {
@@ -121,15 +126,22 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
 
   // Merged (idea #2): per subject and per column panel, compute that
   // subject's E epoch rows for each voxel and normalize them immediately,
-  // while the freshly-written panel is still cache resident.  The two
-  // logical stages interleave per panel, so their trace spans are split by
-  // accumulating the normalization slices and attributing the rest of the
-  // elapsed time to correlation.  The fused sweep needs one subject's
-  // panels live at a time — that run is the streaming granularity, and the
-  // next subject's panels prefetch while this one computes.
+  // while the freshly-written panel is still cache resident.  The fused
+  // sweep needs one subject's panels live at a time — that run is the
+  // streaming granularity, and the next subject's panels prefetch while
+  // this one computes.  The calling thread holds the subject lease and
+  // packs each bt panel; the per-voxel loop then fans out over `pool` in
+  // voxel chunks that share the lease and the packed panel read-only.
+  // Every voxel writes only its own rows through the same kernel calls, so
+  // the output is bit-identical at any worker count.
+  //
+  // The two logical stages interleave per voxel, so each chunk times its
+  // gemm and z-score slices and both spans record thread-seconds summed
+  // over chunks (plus the caller's lease and packing time as correlation).
   const bool tracing = trace::enabled();
-  const WallTimer fused_timer;
-  double norm_s = 0.0;
+  double serial_s = 0.0;
+  std::atomic<double> gemm_s{0.0};
+  std::atomic<double> norm_s{0.0};
   const std::size_t n = out.cols;
   const auto runs = subject_runs(epochs.meta());
   std::size_t max_e = 0;
@@ -139,7 +151,14 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
   // per-row-panel shape (task.count rows, n output columns, t_len depth).
   const linalg::tune::GemmGeometry geo =
       linalg::tune::gemm_plan(task.count, n, t_len);
+  // A few chunks per worker even out uneven voxel costs without making the
+  // per-panel dispatch dominate.
+  const std::size_t grain =
+      pool == nullptr ? task.count
+                      : std::max<std::size_t>(
+                            1, task.count / (kChunksPerWorker * pool->size()));
   auto bt = Workspace::local().acquire(max_e * t_len * geo.panel_cols);
+  WallTimer serial_timer;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const SubjectRun& run = runs[r];
     if (r + 1 < runs.size()) {
@@ -154,7 +173,8 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
         linalg::opt::pack_bt_panel(lease.epoch(run.first + e).view(), j0, j1,
                                    bt.data() + e * t_len * width);
       }
-      for (std::size_t v = 0; v < task.count; ++v) {
+      if (tracing) serial_s += serial_timer.seconds();
+      auto correlate = [&](std::size_t v) {
         for (std::size_t e = 0; e < e_count; ++e) {
           const linalg::Matrix& act = lease.epoch(run.first + e);
           linalg::opt::gemm_row_panel(
@@ -162,21 +182,43 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
               bt.data() + e * t_len * width, width,
               out.row(v * m_total + run.first + e) + j0, geo);
         }
-        if (tracing) {
-          const WallTimer norm_timer;
-          stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
-                                     e_count, width, out.ld);
-          norm_s += norm_timer.seconds();
-        } else {
-          stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
-                                     e_count, width, out.ld);
+      };
+      auto normalize = [&](std::size_t v) {
+        stats::fisher_zscore_block(out.row(v * m_total + run.first) + j0,
+                                   e_count, width, out.ld);
+      };
+      auto sweep = [&](std::size_t lo, std::size_t hi) {
+        if (!tracing) {
+          for (std::size_t v = lo; v < hi; ++v) {
+            correlate(v);
+            normalize(v);
+          }
+          return;
         }
+        double chunk_gemm_s = 0.0;
+        double chunk_norm_s = 0.0;
+        for (std::size_t v = lo; v < hi; ++v) {
+          const WallTimer timer;
+          correlate(v);
+          const double gemm_done_s = timer.seconds();
+          normalize(v);
+          chunk_gemm_s += gemm_done_s;
+          chunk_norm_s += timer.seconds() - gemm_done_s;
+        }
+        gemm_s.fetch_add(chunk_gemm_s);
+        norm_s.fetch_add(chunk_norm_s);
+      };
+      if (pool != nullptr) {
+        threading::parallel_for(*pool, 0, task.count, grain, sweep);
+      } else {
+        sweep(0, task.count);
       }
+      serial_timer.reset();
     }
   }
   if (tracing) {
-    trace::record_span("normalization", norm_s);
-    trace::record_span("correlation", fused_timer.seconds() - norm_s);
+    trace::record_span("normalization", norm_s.load());
+    trace::record_span("correlation", serial_s + gemm_s.load());
   }
 }
 

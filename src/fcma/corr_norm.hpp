@@ -23,6 +23,7 @@
 #include "fcma/task.hpp"
 #include "linalg/matrix.hpp"
 #include "memsim/instrument.hpp"
+#include "threading/thread_pool.hpp"
 
 namespace fcma::core {
 
@@ -47,9 +48,13 @@ void baseline_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
 void baseline_correlate_normalize(const fmri::NormalizedEpochs& epochs,
                                   const VoxelTask& task, linalg::MatrixView out);
 
-/// Optimized stages 1+2.
+/// Optimized stages 1+2.  With a `pool`, the merged sweep runs its
+/// per-voxel loop across the pool in voxel chunks (the caller still leases
+/// each subject run and packs each column panel once); the output is
+/// bit-identical to the serial sweep.  The separated mode ignores `pool`.
 void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
-                                   linalg::MatrixView out, NormMode mode);
+                                   linalg::MatrixView out, NormMode mode,
+                                   threading::ThreadPool* pool = nullptr);
 void optimized_correlate_normalize(const fmri::NormalizedEpochs& epochs,
                                    const VoxelTask& task,
                                    linalg::MatrixView out, NormMode mode);

@@ -46,7 +46,10 @@ inline constexpr std::size_t kPhiAvailableBytes = 6ull << 30;
 ///     full subject run plus one prefetched panel, the floor the merged
 ///     stage 1/2 sweep needs);
 ///   * correlation — the group's in-flight count x M x N blocks;
-///   * kernels — the per-task accumulated M x M kernel matrices.
+///   * kernels — a share sized as one M x M kernel matrix per task voxel,
+///     which also sets the task grain.  The grouped pipeline now holds only
+///     one kernel per busy worker, so this share is slack; the split is
+///     kept so existing budgets plan the same sizes.
 /// Only ~5/8 of the budget is planned; the rest is headroom for code,
 /// transient shard mappings, SVM scratch, and allocator slack so the
 /// *process* peak RSS stays under the user's number, not just the plan.

@@ -1,7 +1,5 @@
 #include "fcma/pipeline.hpp"
 
-#include <atomic>
-
 #include "archsim/roofline.hpp"
 #include "common/trace.hpp"
 #include "common/workspace.hpp"
@@ -117,13 +115,17 @@ TaskResult run_task_grouped(EpochSource& epochs, const VoxelTask& task,
   trace::count("pipeline/tasks");
   const std::size_t m = epochs.meta().size();
   const std::size_t n = epochs.voxels();
+  const auto folds = config.cv_folds != nullptr
+                         ? *config.cv_folds
+                         : epoch_loso_folds(epochs.meta());
+  TaskResult result;
+  result.task = task;
+  result.accuracy.reserve(task.count);
 
-  // Phase 1: per group, correlate+normalize into a reusable buffer and
-  // reduce each voxel to its kernel matrix.  One group-sized workspace
-  // lease covers every group (the last, possibly shorter group just views
-  // a prefix).
-  std::vector<linalg::Matrix> kernels;
-  kernels.reserve(task.count);
+  // One group in flight: stages 1+2 fill the group's correlation rows, then
+  // stage 3 reduces and cross-validates them before the buffer is reused.
+  // Both halves run across the pool.  One group-sized workspace lease
+  // covers every group (the last, possibly shorter group views a prefix).
   const std::size_t max_group =
       std::min<std::size_t>(group_voxels, task.count);
   auto corr_lease = Workspace::local().acquire(max_group * m * n);
@@ -137,49 +139,17 @@ TaskResult run_task_grouped(EpochSource& epochs, const VoxelTask& task,
     if (config.impl == Impl::kBaseline) {
       baseline_correlate_normalize(epochs, group, corr);
     } else {
-      optimized_correlate_normalize(epochs, group, corr, config.norm_mode);
+      optimized_correlate_normalize(epochs, group, corr, config.norm_mode,
+                                    config.pool);
     }
-    for (std::uint32_t v = 0; v < group.count; ++v) {
-      linalg::Matrix kernel(m, m);
-      compute_voxel_kernel(corr, m, v, config.impl, kernel.view());
-      kernels.push_back(std::move(kernel));
-    }
+    const SvmStageResult stage3 =
+        svm_stage(corr, epochs.meta(), folds, group, config.impl,
+                  config.solver, config.svm_options, config.pool);
+    result.accuracy.insert(result.accuracy.end(), stage3.accuracy.begin(),
+                           stage3.accuracy.end());
+    result.svm_iterations += stage3.svm_iterations;
   }
-
-  // Phase 2: cross-validate the accumulated kernel matrices — all voxels at
-  // once, the regime where every hardware thread has a problem to solve.
-  const trace::Span svm_span("svm");
-  const auto folds = config.cv_folds != nullptr
-                         ? *config.cv_folds
-                         : epoch_loso_folds(epochs.meta());
-  const auto labels = epoch_labels(epochs.meta());
-  TaskResult result;
-  result.task = task;
-  result.accuracy.assign(task.count, 0.0);
-  std::atomic<long> iterations{0};
-  auto run_voxel = [&](std::size_t v) {
-    const svm::CvResult cv =
-        svm::cross_validate(config.solver, kernels[v].view(), labels, folds,
-                            config.svm_options);
-    result.accuracy[v] = cv.accuracy();
-    iterations.fetch_add(cv.iterations, std::memory_order_relaxed);
-  };
-  if (config.pool != nullptr) {
-    threading::parallel_for_each(*config.pool, 0, task.count, run_voxel);
-  } else {
-    for (std::size_t v = 0; v < task.count; ++v) run_voxel(v);
-  }
-  result.svm_iterations = iterations.load();
-  trace::count("svm/cv_iterations", result.svm_iterations);
   return result;
-}
-
-TaskResult run_task_grouped(const fmri::NormalizedEpochs& epochs,
-                            const VoxelTask& task,
-                            const PipelineConfig& config,
-                            std::size_t group_voxels) {
-  ResidentEpochs source(epochs);
-  return run_task_grouped(source, task, config, group_voxels);
 }
 
 InstrumentedTaskResult run_task_instrumented(

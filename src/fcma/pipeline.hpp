@@ -105,17 +105,14 @@ struct InstrumentedTaskResult {
 /// run_task keeps the whole task's correlation buffer (task.count x M x N
 /// floats) alive through stage 3; at the paper's dimensions that caps a
 /// coprocessor task at ~120 voxels.  run_task_grouped instead processes the
-/// task in groups of `group_voxels`: stages 1+2 run for one group, each
-/// group voxel's M x N block is immediately reduced to its M x M kernel
-/// matrix, and the correlation buffer is reused for the next group.  Only
-/// the small kernel matrices accumulate, so a task of 240+ voxels fits the
-/// modeled 6GB — the enabler for full thread occupancy during SVM
-/// cross-validation.  Peak correlation memory: group_voxels * M * N floats.
+/// task in groups of `group_voxels`, one group in flight: stages 1+2 fill
+/// the group's correlation rows (the merged sweep's voxel loop runs across
+/// `config.pool`), then stage 3 reduces each group voxel to its M x M
+/// kernel and cross-validates it across the pool before the buffer is
+/// reused for the next group.  Peak correlation memory: group_voxels * M * N
+/// floats.  Results are bit-identical to run_task at any group size and
+/// worker count.  ResidentEpochs adapts a materialized NormalizedEpochs.
 [[nodiscard]] TaskResult run_task_grouped(EpochSource& epochs,
-                                          const VoxelTask& task,
-                                          const PipelineConfig& config,
-                                          std::size_t group_voxels);
-[[nodiscard]] TaskResult run_task_grouped(const fmri::NormalizedEpochs& epochs,
                                           const VoxelTask& task,
                                           const PipelineConfig& config,
                                           std::size_t group_voxels);

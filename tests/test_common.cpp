@@ -218,6 +218,49 @@ TEST(Cli, HelpReturnsFalse) {
   EXPECT_FALSE(cli.parse(2, argv));
 }
 
+// Parses `value` for flag --x (registered with a valid default).
+Cli cli_with_value(const char* default_value, const char* value) {
+  Cli cli("prog", "test");
+  cli.add_flag("x", default_value, "x");
+  const std::string arg = std::string("--x=") + value;
+  const char* argv[] = {"prog", arg.c_str()};
+  EXPECT_TRUE(cli.parse(2, argv));
+  return cli;
+}
+
+TEST(Cli, AcceptsWellFormedNumbers) {
+  EXPECT_EQ(cli_with_value("0", "-12").get_int("x"), -12);
+  EXPECT_EQ(cli_with_value("0", "+7").get_int("x"), 7);
+  EXPECT_DOUBLE_EQ(cli_with_value("0", "2.5e-3").get_double("x"), 2.5e-3);
+  EXPECT_DOUBLE_EQ(cli_with_value("0", "-1").get_double("x"), -1.0);
+}
+
+TEST(Cli, RejectsMalformedIntegers) {
+  for (const char* bad : {"abc", "4x", "1.5", "", " ", "3 ",
+                          "99999999999999999999999"}) {
+    const Cli cli = cli_with_value("1", bad);
+    EXPECT_THROW((void)cli.get_int("x"), Error) << "'" << bad << "'";
+  }
+}
+
+TEST(Cli, RejectsMalformedDoubles) {
+  for (const char* bad : {"abc", "0.5x", "", "1e999", "-1e999", "1,5"}) {
+    const Cli cli = cli_with_value("1.0", bad);
+    EXPECT_THROW((void)cli.get_double("x"), Error) << "'" << bad << "'";
+  }
+}
+
+TEST(Cli, MalformedValueErrorNamesTheFlag) {
+  const Cli cli = cli_with_value("0", "abc");
+  try {
+    (void)cli.get_int("x");
+    FAIL() << "expected fcma::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(WallTimer, MeasuresElapsedTime) {
   WallTimer t;
   volatile double sink = 0.0;

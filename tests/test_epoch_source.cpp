@@ -157,8 +157,9 @@ TEST(StreamedEpochs, PartitionedGroupedRunMatchesWholeBrain) {
   const fmri::InMemoryView view(d);
   const PipelineConfig config = PipelineConfig::optimized();
 
+  ResidentEpochs resident(norm);
   const TaskResult whole = run_task_grouped(
-      norm, VoxelTask{0, static_cast<std::uint32_t>(d.voxels())}, config, 16);
+      resident, VoxelTask{0, static_cast<std::uint32_t>(d.voxels())}, config, 16);
 
   StreamedEpochs streamed(
       view, {(d.epochs_per_subject() + 1) * panel_bytes(d), nullptr});

@@ -7,11 +7,13 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/trace.hpp"
 #include "fcma/offline.hpp"
 #include "fcma/online.hpp"
 #include "fcma/pipeline.hpp"
 #include "fcma/report.hpp"
 #include "fcma/scoreboard.hpp"
+#include "fmri/dataset_view.hpp"
 #include "fmri/io.hpp"
 #include "fmri/presets.hpp"
 #include "fmri/synthetic.hpp"
@@ -26,6 +28,17 @@ fmri::Dataset small_dataset() {
   return fmri::generate_synthetic(spec);
 }
 
+// Bit-identity contract: every per-voxel accuracy equals the serial
+// run_task's, not merely approximates it.
+void expect_same_accuracies(const core::TaskResult& want,
+                            const core::TaskResult& got) {
+  ASSERT_EQ(want.accuracy.size(), got.accuracy.size());
+  for (std::size_t v = 0; v < want.accuracy.size(); ++v) {
+    EXPECT_EQ(want.accuracy[v], got.accuracy[v]) << "voxel " << v;
+  }
+  EXPECT_EQ(want.svm_iterations, got.svm_iterations);
+}
+
 // ---------------------------------------------------------------------------
 // run_task_grouped
 // ---------------------------------------------------------------------------
@@ -35,56 +48,139 @@ class GroupSizes : public ::testing::TestWithParam<int> {};
 TEST_P(GroupSizes, GroupedMatchesMonolithicPipeline) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs source(ne);
   const core::VoxelTask task{8, 40};
   const core::PipelineConfig config = core::PipelineConfig::optimized();
-  const core::TaskResult whole = core::run_task(ne, task, config);
+  const core::TaskResult whole = core::run_task(source, task, config);
   const core::TaskResult grouped = core::run_task_grouped(
-      ne, task, config, static_cast<std::size_t>(GetParam()));
-  ASSERT_EQ(whole.accuracy.size(), grouped.accuracy.size());
-  for (std::size_t v = 0; v < whole.accuracy.size(); ++v) {
-    EXPECT_NEAR(whole.accuracy[v], grouped.accuracy[v], 1e-9) << v;
-  }
+      source, task, config, static_cast<std::size_t>(GetParam()));
+  expect_same_accuracies(whole, grouped);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, GroupSizes,
                          ::testing::Values(1, 7, 16, 40, 100));
 
+// The optimized grouped task fans stage 1 and stage 3 out over the pool;
+// any worker count must reproduce the serial run_task bit for bit.
+class GroupedPoolWorkers : public ::testing::TestWithParam<int> {};
+
+TEST_P(GroupedPoolWorkers, OptimizedMatchesSerialRunTask) {
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs source(ne);
+  const core::VoxelTask task{5, 64};
+  core::PipelineConfig config = core::PipelineConfig::optimized();
+  const core::TaskResult serial = core::run_task(source, task, config);
+  threading::ThreadPool pool(static_cast<std::size_t>(GetParam()));
+  config.pool = &pool;
+  expect_same_accuracies(serial,
+                         core::run_task_grouped(source, task, config, 16));
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, GroupedPoolWorkers,
+                         ::testing::Values(1, 2, 3, 4));
+
+TEST(GroupedPipeline, PooledGroupNotDividingTaskMatchesSerial) {
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs source(ne);
+  const core::VoxelTask task{3, 40};  // 5 groups of 7, then one of 5
+  core::PipelineConfig config = core::PipelineConfig::optimized();
+  const core::TaskResult serial = core::run_task(source, task, config);
+  threading::ThreadPool pool(3);
+  config.pool = &pool;
+  expect_same_accuracies(serial,
+                         core::run_task_grouped(source, task, config, 7));
+}
+
+TEST(GroupedPipeline, PooledStreamedUnderTightBudgetMatchesSerial) {
+  // The `fcma analyze --memory-budget` path: panels stream through a cache
+  // that holds one subject run plus one panel, prefetching on the same pool
+  // the stages fan out over, while the caller's subject lease is shared by
+  // the stage-1 workers.
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs resident(ne);
+  const core::VoxelTask task{0, static_cast<std::uint32_t>(d.voxels())};
+  core::PipelineConfig config = core::PipelineConfig::optimized();
+  const core::TaskResult serial = core::run_task(resident, task, config);
+
+  threading::ThreadPool pool(3);
+  config.pool = &pool;
+  const fmri::InMemoryView view(d);
+  const std::size_t panel_bytes = d.voxels() *
+                                  static_cast<std::size_t>(
+                                      d.epochs().front().length) *
+                                  sizeof(float);
+  core::StreamedEpochs streamed(
+      view, core::StreamedEpochs::Options{
+                (d.epochs_per_subject() + 1) * panel_bytes, &pool});
+  expect_same_accuracies(serial,
+                         core::run_task_grouped(streamed, task, config, 10));
+  EXPECT_LE(streamed.resident_bytes(), streamed.budget_bytes());
+}
+
 TEST(GroupedPipeline, WorksWithBaselineImplAndThreads) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs source(ne);
   const core::VoxelTask task{0, 24};
   core::PipelineConfig config = core::PipelineConfig::baseline();
-  const auto serial = core::run_task_grouped(ne, task, config, 8);
+  const auto serial = core::run_task(source, task, config);
   threading::ThreadPool pool(3);
   config.pool = &pool;
-  const auto threaded = core::run_task_grouped(ne, task, config, 8);
-  for (std::size_t v = 0; v < serial.accuracy.size(); ++v) {
-    EXPECT_NEAR(serial.accuracy[v], threaded.accuracy[v], 1e-9);
-  }
+  expect_same_accuracies(serial,
+                         core::run_task_grouped(source, task, config, 8));
 }
 
 TEST(GroupedPipeline, HonorsCustomFolds) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs source(ne);
   const auto folds = core::kfold_groups(ne.meta.size(), 4);
   core::PipelineConfig config = core::PipelineConfig::optimized();
   config.cv_folds = &folds;
   const core::VoxelTask task{0, 8};
-  const auto grouped = core::run_task_grouped(ne, task, config, 3);
-  const auto whole = core::run_task(ne, task, config);
-  for (std::size_t v = 0; v < whole.accuracy.size(); ++v) {
-    EXPECT_NEAR(whole.accuracy[v], grouped.accuracy[v], 1e-9);
-  }
+  expect_same_accuracies(core::run_task(source, task, config),
+                         core::run_task_grouped(source, task, config, 3));
 }
 
 TEST(GroupedPipeline, RejectsZeroGroup) {
   const fmri::Dataset d = small_dataset();
   const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs source(ne);
   EXPECT_THROW((void)core::run_task_grouped(
-                   ne, core::VoxelTask{0, 4},
+                   source, core::VoxelTask{0, 4},
                    core::PipelineConfig::optimized(), 0),
                Error);
 }
+
+#ifndef FCMA_TRACE_DISABLED
+TEST(GroupedPipeline, PooledTraceAttributesCorrelationAndNormalization) {
+  // The merged sweep interleaves the two stages per voxel on every worker;
+  // both spans must carry the chunks' measured thread-seconds, neither one
+  // derived by subtracting the other from the caller's wall time.
+  const fmri::Dataset d = small_dataset();
+  const fmri::NormalizedEpochs ne = fmri::normalize_epochs(d);
+  core::ResidentEpochs source(ne);
+  threading::ThreadPool pool(3);
+  core::PipelineConfig config = core::PipelineConfig::optimized();
+  config.pool = &pool;
+  trace::global().reset();
+  trace::set_enabled(true);
+  (void)core::run_task_grouped(
+      source, core::VoxelTask{0, static_cast<std::uint32_t>(d.voxels())},
+      config, 32);
+  trace::set_enabled(false);
+  trace::flush();
+  for (const char* label : {"task/correlation", "task/normalization"}) {
+    const trace::SpanStats span = trace::global().span(label);
+    EXPECT_EQ(span.count, 3u) << label;  // one per group
+    EXPECT_GT(span.total_s, 0.0) << label;
+  }
+  trace::global().reset();
+}
+#endif
 
 // ---------------------------------------------------------------------------
 // Mask serialization

@@ -1,11 +1,11 @@
 #!/bin/sh
 # ThreadSanitizer gate for the concurrency-sensitive layers: configures a
 # separate build tree with -DFCMA_SANITIZE=thread, builds the scheduler
-# (unit + sched-stress), threading, tracing, and cluster fault-tolerance
-# test binaries, and runs them under TSan.  Any reported race fails
-# the script (halt_on_error); environments where TSan cannot compile or run
-# (no libtsan, unsupported kernel/ASLR settings) skip with exit 77, which
-# CTest maps to "skipped" via SKIP_RETURN_CODE.
+# (unit + sched-stress), threading, tracing, cluster fault-tolerance and
+# grouped-pipeline test binaries, and runs them under TSan.  Any reported
+# race fails the script (halt_on_error); environments where TSan cannot
+# compile or run (no libtsan, unsupported kernel/ASLR settings) skip with
+# exit 77, which CTest maps to "skipped" via SKIP_RETURN_CODE.
 #
 # Usage: ci_tsan.sh <repo-root> [build-dir]
 set -eu
@@ -48,6 +48,7 @@ JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
   --target test_sched test_sched_stress test_threading test_trace \
           test_timeline test_tlstream test_cluster test_cluster_recovery \
+          test_report \
   -j "$JOBS" > /dev/null
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
@@ -71,4 +72,10 @@ echo "ci_tsan: running test_cluster under TSan"
 "$BUILD/tests/test_cluster"
 echo "ci_tsan: running test_cluster_recovery under TSan"
 "$BUILD/tests/test_cluster_recovery"
+# The grouped pipeline fans stage 1 (workers sharing the caller's subject
+# lease and packed panel) and stage 3 out over one pool, resident and
+# streamed; its grouped-pipeline suites check that under TSan.
+echo "ci_tsan: running test_report (grouped pipeline) under TSan"
+"$BUILD/tests/test_report" \
+  --gtest_filter='*Group*'
 echo "ci_tsan: clean"

@@ -388,10 +388,9 @@ int cmd_analyze(int argc, const char* const* argv) {
   core::Scoreboard board(view->voxels());
   std::optional<fmri::NormalizedEpochs> epochs;  // resident path only
   if (budget > 0) {
-    // Out-of-core run: panels stream through a budget-bounded cache, the
-    // task grain caps kernel accumulation, and the group size caps the
-    // in-flight correlation block — peak residency follows the plan, not
-    // the dataset size.  Per-voxel results are independent of the task
+    // Out-of-core run: panels stream through a budget-bounded cache and
+    // the group size caps the in-flight correlation block — peak
+    // residency follows the plan, not the dataset size.  Per-voxel results are independent of the task
     // partition, so the report is byte-identical to the resident run.
     const core::BudgetPlan plan = budget_plan_for(*view, budget);
     core::StreamedEpochs source(
@@ -404,8 +403,9 @@ int cmd_analyze(int argc, const char* const* argv) {
     }
   } else {
     epochs = fmri::normalize_epochs(*view);
+    core::ResidentEpochs source(*epochs);
     board.add(core::run_task_grouped(
-        *epochs,
+        source,
         core::VoxelTask{0, static_cast<std::uint32_t>(view->voxels())},
         config, static_cast<std::size_t>(cli.get_int("grouped"))));
   }

@@ -55,6 +55,20 @@ grep -q 'task/correlation/gemm_nt' trace.json
 grep -q '"fcma.timeline.v1"' timeline.json
 grep -q 'sched/worker0' timeline.json
 trace_check trace.json timeline.json
+# A stage span whose time was derived wrongly (a zero or negative total over
+# real occurrences) must fail validation.
+if command -v python3 >/dev/null 2>&1; then
+  python3 - trace.json zero_stage.json <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["spans"]["task/correlation"]["total_s"] = 0.0
+json.dump(doc, open(sys.argv[2], "w"))
+EOF
+  if trace_check zero_stage.json >/dev/null 2>&1; then
+    echo "expected trace_check to reject a zero-time stage span" >&2
+    exit 1
+  fi
+fi
 
 # The report subcommand renders the JSON back into tables.
 "$FCMA" report --trace-in trace.json > report.txt
@@ -78,6 +92,19 @@ trace_check err.json err_tl.json
 # identical report (the scheduler only moves tasks between threads).
 "$FCMA" analyze --in clean --report serial.txt --top-k 6 --sched serial
 cmp traced.txt serial.txt
+# Both halves of every voxel group fan out over the pool, so the worker
+# count and a group size that does not divide the brain change nothing.
+"$FCMA" analyze --in clean --report threads1.txt --top-k 6 --threads 1
+"$FCMA" analyze --in clean --report threads3.txt --top-k 6 --threads 3 \
+    --grouped 7
+cmp threads1.txt threads3.txt
+cmp traced.txt threads1.txt
+# A malformed numeric flag is an error, not a silent 0 ("auto").
+if "$FCMA" analyze --in clean --report bad_threads.txt --threads abc \
+    2>/dev/null; then
+  echo "expected failure for a non-numeric --threads value" >&2
+  exit 1
+fi
 if "$FCMA" analyze --in clean --sched bogus 2>/dev/null; then
   echo "expected failure for an unknown --sched value" >&2
   exit 1

@@ -7,8 +7,9 @@ Accepts any artifact the CLI / benches emit and sniffs which one it got:
   registry written by ``--trace`` and the bench sidecars.  Checks the schema
   string, that every span's quantiles are ordered (p50 <= p95 <= p99) and
   clamped inside the exact [min_s, max_s] range, that counters/gauges are
-  numeric, and that any roofline attribution carries the full field set
-  with sane values.
+  numeric, that every pipeline stage span (correlation, normalization,
+  corr_norm, svm) that occurred has a positive total time, and that any
+  roofline attribution carries the full field set with sane values.
 * a Chrome-trace timeline (``fcma.timeline.v1``): the per-thread event
   dump written by ``--trace-timeline``.  Checks that complete events are
   globally time-sorted with non-negative durations, that every event's
@@ -39,6 +40,11 @@ REQUIRED_SPAN_FIELDS = (
     "count", "total_s", "min_s", "max_s", "p50_s", "p95_s", "p99_s")
 REQUIRED_ROOFLINE_FIELDS = (
     "modeled_s", "gflops", "ai_flops_per_byte", "pct_roofline", "bound")
+# Pipeline stage spans (matched on the last label component).  Each one
+# that occurred measured real work, so a total of zero or below means its
+# time was derived wrongly (e.g. one stage's thread-seconds subtracted from
+# another's wall time), not that the stage was free.
+STAGE_SPANS = ("correlation", "normalization", "corr_norm", "svm")
 # Autotuner decisions recorded in the meta section, one per shape class.
 # The class key encodes the log2-bucketed dimensions; the value is the
 # winning geometry plus provenance (probe sweep, cache hit, or forced).
@@ -82,6 +88,10 @@ def check_metrics(c, doc):
             lo, hi = span["min_s"], span["max_s"]
             p50, p95, p99 = span["p50_s"], span["p95_s"], span["p99_s"]
             c.check(span["count"] >= 1, "span %r: count < 1" % label)
+            if label.rsplit("/", 1)[-1] in STAGE_SPANS and span["count"] > 0:
+                c.check(span["total_s"] > 0,
+                        "stage span %r: total_s %g <= 0 over %d occurrence(s)"
+                        % (label, span["total_s"], span["count"]))
             c.check(lo <= hi + EPS, "span %r: min_s > max_s" % label)
             c.check(p50 <= p95 + EPS and p95 <= p99 + EPS,
                     "span %r: quantiles not ordered "
