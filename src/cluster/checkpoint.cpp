@@ -1,5 +1,7 @@
 #include "cluster/checkpoint.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -12,6 +14,21 @@ namespace fcma::cluster {
 namespace {
 
 constexpr const char* kSchema = "fcma.ckpt.v1";
+
+// Reads `obj[key]` as an integer in [0, 2^32): anything else — a missing
+// or non-number member, a fraction, a negative or out-of-range value — is
+// refused rather than cast (a double-to-integer cast of such a value is
+// undefined behaviour, and a wrapped voxel id indexes out of bounds).
+std::uint32_t read_index(const json::Value& obj, const char* key,
+                         const std::string& path) {
+  const json::Value& v = obj.at(key);
+  const double d = v.as_number();
+  FCMA_CHECK(v.is_number() && d >= 0.0 &&
+                 d <= static_cast<double>(UINT32_MAX) && d == std::floor(d),
+             std::string("checkpoint field '") + key +
+                 "' is not a voxel count or index: " + path);
+  return static_cast<std::uint32_t>(d);
+}
 
 void append_double(std::string& out, double v) {
   char buf[32];
@@ -78,8 +95,7 @@ core::Scoreboard load_checkpoint(const std::string& path,
   const json::Value doc = json::parse_file(path);
   FCMA_CHECK(doc.at("schema").as_string() == kSchema,
              "not an fcma.ckpt.v1 checkpoint: " + path);
-  const auto total =
-      static_cast<std::size_t>(doc.at("total_voxels").as_number());
+  const std::size_t total = read_index(doc, "total_voxels", path);
   FCMA_CHECK(total > 0, "checkpoint has no voxels: " + path);
   FCMA_CHECK(expected_voxels == 0 || expected_voxels == total,
              "checkpoint voxel count does not match the dataset");
@@ -87,16 +103,19 @@ core::Scoreboard load_checkpoint(const std::string& path,
   core::Scoreboard board(total);
   for (const json::Value& run : doc.at("runs").elements()) {
     core::TaskResult result;
-    result.task.first =
-        static_cast<std::uint32_t>(run.at("first").as_number());
+    result.task.first = read_index(run, "first", path);
     const auto& acc = run.at("accuracy").elements();
+    FCMA_CHECK(acc.size() <= total,
+               "checkpoint run is longer than the voxel count: " + path);
     result.task.count = static_cast<std::uint32_t>(acc.size());
     result.accuracy.reserve(acc.size());
-    for (const json::Value& a : acc) result.accuracy.push_back(a.as_number());
+    for (const json::Value& a : acc) {
+      FCMA_CHECK(a.is_number(), "checkpoint accuracy is not a number: " + path);
+      result.accuracy.push_back(a.as_number());
+    }
     board.add(result);  // strict: a checkpoint never repeats a voxel
   }
-  const auto scored = static_cast<std::size_t>(doc.at("scored").as_number());
-  FCMA_CHECK(board.scored() == scored,
+  FCMA_CHECK(board.scored() == read_index(doc, "scored", path),
              "checkpoint scored-count mismatch: " + path);
   return board;
 }

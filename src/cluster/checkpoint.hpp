@@ -21,7 +21,8 @@ namespace fcma::cluster {
 void write_checkpoint(const std::string& path, const core::Scoreboard& board);
 
 /// Loads a checkpoint into a fresh scoreboard.  Throws fcma::Error on I/O
-/// failure, malformed JSON, a schema/version mismatch, or a total-voxel
+/// failure, malformed JSON, a schema/version mismatch, a count, voxel id or
+/// accuracy that is not a number of the right range, or a total-voxel
 /// count that disagrees with `expected_voxels` (pass 0 to accept the file's
 /// own count).
 [[nodiscard]] core::Scoreboard load_checkpoint(const std::string& path,

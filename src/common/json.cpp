@@ -86,13 +86,22 @@ class Parser {
     }
   }
 
+  // Objects and arrays recurse, so a hostile file of nested openers would
+  // otherwise overflow the stack instead of failing the parse.
+  void enter() {
+    if (++depth_ > kMaxDepth) fail("nesting deeper than " +
+                                   std::to_string(kMaxDepth) + " levels");
+  }
+
   Value parse_object() {
     expect('{');
+    enter();
     Value v;
     v.kind_ = Value::Kind::Object;
     skip_ws();
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return v;
     }
     while (true) {
@@ -107,17 +116,20 @@ class Parser {
         continue;
       }
       expect('}');
+      --depth_;
       return v;
     }
   }
 
   Value parse_array() {
     expect('[');
+    enter();
     Value v;
     v.kind_ = Value::Kind::Array;
     skip_ws();
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return v;
     }
     while (true) {
@@ -128,6 +140,7 @@ class Parser {
         continue;
       }
       expect(']');
+      --depth_;
       return v;
     }
   }
@@ -206,8 +219,11 @@ class Parser {
     return Value(v);
   }
 
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }

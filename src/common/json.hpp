@@ -1,15 +1,16 @@
 // Minimal JSON reader for fcma's own trace files.
 //
-// `fcma report --trace-in run.json` re-reads what `--trace` wrote, and the
-// container ships no JSON library — so this is a small recursive-descent
-// parser of standard JSON (RFC 8259: objects, arrays, strings with the
-// usual escapes, numbers, true/false/null).  It is a *reader for trusted,
-// self-produced files*: inputs are parsed strictly (trailing garbage or
-// malformed syntax throw fcma::Error with a byte offset), but the API
-// favours convenience over schema enforcement — lookups on the wrong kind
-// return empty/zero values instead of throwing, so report code can probe
-// optional sections ("roofline" may be absent in a v1 file) without
-// ceremony.
+// `fcma report --trace-in run.json` re-reads what `--trace` wrote and
+// `fcma cluster --resume` re-reads a checkpoint, and the container ships no
+// JSON library — so this is a small recursive-descent parser of standard
+// JSON (RFC 8259: objects, arrays, strings with the usual escapes, numbers,
+// true/false/null).  Inputs are parsed strictly: trailing garbage,
+// malformed syntax, or nesting deeper than 256 levels throw fcma::Error
+// with a byte offset, so a damaged file fails loudly.  The API favours
+// convenience over schema enforcement — lookups on the wrong kind return
+// empty/zero values instead of throwing, so report code can probe optional
+// sections ("roofline" may be absent in a v1 file) without ceremony;
+// readers of untrusted files check kinds themselves (cluster/checkpoint).
 #pragma once
 
 #include <cstdint>

@@ -147,17 +147,14 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
   std::size_t max_e = 0;
   for (const SubjectRun& r : runs) max_e = std::max(max_e, r.last - r.first);
   const auto t_len = static_cast<std::size_t>(epochs.meta().front().length);
-  // One tuning decision covers the whole fused sweep: classify by the
-  // per-row-panel shape (task.count rows, n output columns, t_len depth).
-  const linalg::tune::GemmGeometry geo =
-      linalg::tune::gemm_plan(task.count, n, t_len);
+  constexpr std::size_t kPanelCols = linalg::opt::kGemmPanelCols;
   // A few chunks per worker even out uneven voxel costs without making the
   // per-panel dispatch dominate.
   const std::size_t grain =
       pool == nullptr ? task.count
                       : std::max<std::size_t>(
                             1, task.count / (kChunksPerWorker * pool->size()));
-  auto bt = Workspace::local().acquire(max_e * t_len * geo.panel_cols);
+  auto bt = Workspace::local().acquire(max_e * t_len * kPanelCols);
   WallTimer serial_timer;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     const SubjectRun& run = runs[r];
@@ -166,8 +163,8 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
     }
     const auto lease = epochs.acquire(run.first, run.last);
     const std::size_t e_count = run.last - run.first;
-    for (std::size_t j0 = 0; j0 < n; j0 += geo.panel_cols) {
-      const std::size_t j1 = std::min(n, j0 + geo.panel_cols);
+    for (std::size_t j0 = 0; j0 < n; j0 += kPanelCols) {
+      const std::size_t j1 = std::min(n, j0 + kPanelCols);
       const std::size_t width = j1 - j0;
       for (std::size_t e = 0; e < e_count; ++e) {
         linalg::opt::pack_bt_panel(lease.epoch(run.first + e).view(), j0, j1,
@@ -180,7 +177,7 @@ void optimized_correlate_normalize(EpochSource& epochs, const VoxelTask& task,
           linalg::opt::gemm_row_panel(
               act.row(task.first + v), act.cols(),
               bt.data() + e * t_len * width, width,
-              out.row(v * m_total + run.first + e) + j0, geo);
+              out.row(v * m_total + run.first + e) + j0);
         }
       };
       auto normalize = [&](std::size_t v) {

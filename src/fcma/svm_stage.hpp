@@ -13,7 +13,6 @@
 #include "fcma/task.hpp"
 #include "fmri/dataset.hpp"
 #include "linalg/matrix.hpp"
-#include "linalg/tune.hpp"
 #include "memsim/instrument.hpp"
 #include "svm/cross_validation.hpp"
 #include "threading/thread_pool.hpp"
@@ -30,13 +29,10 @@ struct SvmStageResult {
 };
 
 /// Computes voxel `v_local`'s kernel matrix from the task's correlation
-/// buffer into `kernel` (must be M x M).  `geo` pins the syrk geometry;
-/// null consults the autotuner per call (svm_stage resolves the plan once
-/// per stage and passes it through so the tuner lock is off the voxel loop).
+/// buffer into `kernel` (must be M x M).
 void compute_voxel_kernel(linalg::ConstMatrixView corr, std::size_t epochs,
                           std::size_t v_local, Impl impl,
-                          linalg::MatrixView kernel,
-                          const linalg::tune::SyrkGeometry* geo = nullptr);
+                          linalg::MatrixView kernel);
 
 /// Runs stage 3 for every voxel of the task.  `corr` is the stage-1/2
 /// output buffer (task.count * M rows by N); `folds` are the CV test groups

@@ -75,27 +75,28 @@ void gemm_row_tail(const float* FCMA_RESTRICT a, std::size_t k,
   }
 }
 
-// U = column vectors advanced per broadcast of an A element (the autotuner
-// picks 2 or 4).  Each output element's dot product is computed whole in
-// one accumulator whatever U is, so the unroll variants are bit-identical —
-// U only changes register-block shape and load scheduling.
-template <int W, int U>
+// Column vectors advanced per broadcast of an A element.  Each output
+// element's dot product is computed whole in one accumulator, so the
+// unroll only shapes the register block and load scheduling, never bits.
+constexpr int kGemmUnroll = 4;
+
+template <int W>
 void gemm_row_panel_t(const float* FCMA_RESTRICT a, std::size_t k,
                       const float* FCMA_RESTRICT bt, std::size_t width,
                       float* FCMA_RESTRICT c) {
   using V = typename VecOf<W>::type;
-  constexpr std::size_t kStep = U * W;
+  constexpr std::size_t kStep = kGemmUnroll * W;
   std::size_t j = 0;
   for (; j + kStep <= width; j += kStep) {
-    V acc[U] = {};
+    V acc[kGemmUnroll] = {};
     for (std::size_t kk = 0; kk < k; ++kk) {
       const float av = a[kk];
       const float* FCMA_RESTRICT btk = bt + kk * width + j;
-      for (int u = 0; u < U; ++u) {
+      for (int u = 0; u < kGemmUnroll; ++u) {
         acc[u] += av * vload<W>(btk + u * W);
       }
     }
-    for (int u = 0; u < U; ++u) {
+    for (int u = 0; u < kGemmUnroll; ++u) {
       vstore<W>(c + j + u * W, acc[u]);
     }
   }
@@ -110,29 +111,30 @@ void gemm_row_panel_t(const float* FCMA_RESTRICT a, std::size_t k,
 }
 
 // ---------------------------------------------------------------------------
-// syrk packed-panel sweep (paper Fig 7): ROWS x W-col micro-tiles over the
+// syrk packed-panel sweep (paper Fig 7): kRows x W-col micro-tiles over the
 // lower triangle.  The register accumulators flush into C on a FIXED cadence
-// of opt::kSyrkNumericK elements — never the (tunable) packing depth kb —
-// so every candidate panel depth performs the identical sequence of
-// floating-point adds per element.  The full-tile kernel fixes that substep
-// at compile time (a runtime bound defeats the strided a_local loads'
-// unrolling); ragged substeps fall to the shared edge handler.
+// of opt::kSyrkNumericK elements — never the packing depth kb — so where
+// a packed panel starts within the long dimension (the threaded syrk starts
+// chunks at substep boundaries inside a panel) never changes an add.  The
+// full-tile kernel fixes that substep at compile time (a runtime bound
+// defeats the strided a_local loads' unrolling); ragged substeps fall to
+// the shared edge handler.
 // ---------------------------------------------------------------------------
-constexpr std::size_t kSyrkMaxRows = opt::kSyrkMicroRows;  // edge acc bound
+constexpr std::size_t kRows = opt::kSyrkMicroRows;
 
-template <int W, std::size_t ROWS>
+template <int W>
 void syrk_tile_full(const float* FCMA_RESTRICT a_tile, std::size_t lda,
                     const float* FCMA_RESTRICT at_tile, std::size_t ldat,
                     float* FCMA_RESTRICT c_tile, std::size_t ldc) {
   using V = typename VecOf<W>::type;
-  V acc[ROWS] = {};
+  V acc[kRows] = {};
   for (std::size_t k = 0; k < opt::kSyrkNumericK; ++k) {
     const V at = vload<W>(at_tile + k * ldat);
-    for (std::size_t r = 0; r < ROWS; ++r) {
+    for (std::size_t r = 0; r < kRows; ++r) {
       acc[r] += a_tile[r * lda + k] * at;
     }
   }
-  for (std::size_t r = 0; r < ROWS; ++r) {
+  for (std::size_t r = 0; r < kRows; ++r) {
     float* FCMA_RESTRICT crow = c_tile + r * ldc;
     vstore<W>(crow, vload<W>(crow) + acc[r]);
   }
@@ -140,15 +142,15 @@ void syrk_tile_full(const float* FCMA_RESTRICT a_tile, std::size_t lda,
 
 // Ragged edges of the triangle (short rows/columns or a short trailing
 // substep).  4-lane blocks with a zero-padded final step, so an element
-// that lands in a full tile under one lane width or micro-tile height and
-// here under another still sees the exact same multiply-add chain.
+// that lands in a full tile under one lane width and here under another
+// still sees the exact same multiply-add chain.
 void syrk_tile_edge(const float* FCMA_RESTRICT a_tile, std::size_t lda,
                     const float* FCMA_RESTRICT at_tile, std::size_t ldat,
                     std::size_t kb, std::size_t rows, std::size_t cols,
                     float* FCMA_RESTRICT c_tile, std::size_t ldc) {
   for (std::size_t w0 = 0; w0 < cols; w0 += 4) {
     const std::size_t lanes = std::min<std::size_t>(4, cols - w0);
-    V4 acc[kSyrkMaxRows] = {};
+    V4 acc[kRows] = {};
     if (lanes == 4) {
       for (std::size_t k = 0; k < kb; ++k) {
         const V4 at = vload<4>(at_tile + k * ldat + w0);
@@ -175,16 +177,15 @@ void syrk_tile_edge(const float* FCMA_RESTRICT a_tile, std::size_t lda,
   }
 }
 
-template <int W, std::size_t ROWS>
+template <int W>
 void syrk_panel_t(const float* FCMA_RESTRICT a_local,
                   const float* FCMA_RESTRICT at_local, std::size_t m,
                   std::size_t kb, float* FCMA_RESTRICT c, std::size_t ldc) {
   static_assert(W <= 16, "edge accumulator sized for <= 16 lanes");
-  static_assert(ROWS <= kSyrkMaxRows, "edge accumulator sized for 9 rows");
   for (std::size_t k0 = 0; k0 < kb; k0 += opt::kSyrkNumericK) {
     const std::size_t kbs = std::min(opt::kSyrkNumericK, kb - k0);
-    for (std::size_t i0 = 0; i0 < m; i0 += ROWS) {
-      const std::size_t rows = std::min(ROWS, m - i0);
+    for (std::size_t i0 = 0; i0 < m; i0 += kRows) {
+      const std::size_t rows = std::min(kRows, m - i0);
       // Only tiles intersecting the lower triangle; mirror_upper finishes C.
       for (std::size_t j0 = 0; j0 <= i0 + rows - 1;
            j0 += static_cast<std::size_t>(W)) {
@@ -192,9 +193,9 @@ void syrk_panel_t(const float* FCMA_RESTRICT a_local,
         const float* a_tile = a_local + i0 * kb + k0;
         const float* at_tile = at_local + k0 * m + j0;
         float* c_tile = c + i0 * ldc + j0;
-        if (rows == ROWS && cols == static_cast<std::size_t>(W) &&
+        if (rows == kRows && cols == static_cast<std::size_t>(W) &&
             kbs == opt::kSyrkNumericK) {
-          syrk_tile_full<W, ROWS>(a_tile, kb, at_tile, m, c_tile, ldc);
+          syrk_tile_full<W>(a_tile, kb, at_tile, m, c_tile, ldc);
         } else {
           syrk_tile_edge(a_tile, kb, at_tile, m, kbs, rows, cols, c_tile,
                          ldc);
@@ -291,12 +292,8 @@ void zscore_finish_t(float* FCMA_RESTRICT row, const float* FCMA_RESTRICT mean,
 
 template <int W>
 constexpr KernelTable make_table() {
-  return KernelTable{&gemm_row_panel_t<W, 4>,
-                     &syrk_panel_t<W, opt::kSyrkMicroRows>,
-                     &accumulate_moments_t<W>,
-                     &zscore_finish_t<W>,
-                     &gemm_row_panel_t<W, 2>,
-                     &syrk_panel_t<W, 6>};
+  return KernelTable{&gemm_row_panel_t<W>, &syrk_panel_t<W>,
+                     &accumulate_moments_t<W>, &zscore_finish_t<W>};
 }
 
 // kScalar = 4-lane portable vectors: GCC lowers them to SSE where present

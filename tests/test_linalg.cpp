@@ -5,8 +5,10 @@
 // paper's Tables 5/6 rest on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "linalg/baseline.hpp"
@@ -270,6 +272,25 @@ TEST(Syrk, ResultIsSymmetric) {
   }
 }
 
+TEST(Syrk, ThreadedIsDeterministic) {
+  // The threaded syrk splits the long dimension in kSyrkNumericK substeps
+  // and folds the per-chunk partials in chunk order, so on a ragged shape
+  // (n = 700 ends mid-panel and mid-substep, m = 21 leaves partial tiles)
+  // two runs on the same pool must agree bit for bit.
+  threading::ThreadPool pool(3);
+  const std::size_t m = 21, n = 700;
+  const Matrix a = random_matrix(m, n, 66);
+  Matrix first(m, m);
+  Matrix second(m, m);
+  opt::syrk(a.view(), first.view(), pool);
+  opt::syrk(a.view(), second.view(), pool);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(first(i, j), second(i, j)) << "at (" << i << "," << j << ")";
+    }
+  }
+}
+
 TEST(Syrk, DiagonalIsNonNegative) {
   const Matrix a = random_matrix(16, 150, 52);
   Matrix c(16, 16);
@@ -392,26 +413,43 @@ TEST(Matrix, ViewsShareStorage) {
   EXPECT_EQ(cv(1, 1), 9.0f);
 }
 
-// Bit-identity across the autotuner's candidate grid: every geometry the
-// probe sweep can pick must produce exactly the bits of the default
-// geometry, or a timing-dependent tuner decision would change results.
-// Gemm regroups whole per-element dot products; syrk flushes accumulators
-// every opt::kSyrkNumericK elements regardless of panel depth.
+// Bit-identity across gemm panel widths: each output element is one whole
+// dot product over K, so the result must not depend on how the columns are
+// cut into packed B^T panels.  The fused correlate-and-normalize stage
+// composes the panel primitives itself and the threaded gemm splits columns
+// at pool-chosen panel boundaries; both rely on this.
+
+// Composes C = A * B^T from the exported panel primitives at `panel_cols`.
+Matrix gemm_by_panels(const Matrix& a, const Matrix& b,
+                      std::size_t panel_cols) {
+  Matrix c(a.rows(), b.rows());
+  std::vector<float> bt(a.cols() * panel_cols);
+  for (std::size_t j0 = 0; j0 < b.rows(); j0 += panel_cols) {
+    const std::size_t j1 = std::min(b.rows(), j0 + panel_cols);
+    opt::pack_bt_panel(b.view(), j0, j1, bt.data());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      opt::gemm_row_panel(a.row(i), a.cols(), bt.data(), j1 - j0,
+                          c.row(i) + j0);
+    }
+  }
+  return c;
+}
+
+constexpr std::size_t kCandidatePanelCols[] = {128, 256, opt::kGemmPanelCols,
+                                               1024};
 
 TEST(TuneGeometry, EveryGemmCandidateIsBitIdentical) {
   const std::size_t m = 7, n = 1337, k = 12;  // ragged vs every panel width
   const Matrix a = random_matrix(m, k, 61);
   const Matrix b = random_matrix(n, k, 62);
   Matrix ref(m, n);
-  opt::gemm_nt_with(a.view(), b.view(), ref.view(), tune::GemmGeometry{});
-  for (const tune::GemmGeometry& geo : tune::gemm_candidates()) {
-    Matrix c(m, n);
-    opt::gemm_nt_with(a.view(), b.view(), c.view(), geo);
+  opt::gemm_nt(a.view(), b.view(), ref.view());
+  for (const std::size_t cols : kCandidatePanelCols) {
+    const Matrix c = gemm_by_panels(a, b, cols);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_cols=" << geo.panel_cols << " unroll=" << geo.unroll
-            << " at (" << i << "," << j << ")";
+            << "panel_cols=" << cols << " at (" << i << "," << j << ")";
       }
     }
   }
@@ -422,71 +460,17 @@ TEST(TuneGeometry, EveryGemmCandidateIsBitIdenticalThreaded) {
   const std::size_t m = 5, n = 2100, k = 12;
   const Matrix a = random_matrix(m, k, 63);
   const Matrix b = random_matrix(n, k, 64);
-  Matrix ref(m, n);
-  opt::gemm_nt_with(a.view(), b.view(), ref.view(), tune::GemmGeometry{});
-  for (const tune::GemmGeometry& geo : tune::gemm_candidates()) {
-    Matrix c(m, n);
-    opt::gemm_nt_with(a.view(), b.view(), c.view(), geo, pool);
+  Matrix threaded(m, n);
+  opt::gemm_nt(a.view(), b.view(), threaded.view(), pool);
+  for (const std::size_t cols : kCandidatePanelCols) {
+    const Matrix c = gemm_by_panels(a, b, cols);
     for (std::size_t i = 0; i < m; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_cols=" << geo.panel_cols << " unroll=" << geo.unroll;
+        ASSERT_EQ(threaded(i, j), c(i, j))
+            << "panel_cols=" << cols << " at (" << i << "," << j << ")";
       }
     }
   }
-}
-
-TEST(TuneGeometry, EverySyrkCandidateIsBitIdentical) {
-  const std::size_t m = 33, n = 1000;  // ragged vs every panel_k and tile
-  const Matrix a = random_matrix(m, n, 65);
-  Matrix ref(m, m);
-  opt::syrk_with(a.view(), ref.view(), tune::SyrkGeometry{});
-  for (const tune::SyrkGeometry& geo : tune::syrk_candidates()) {
-    Matrix c(m, m);
-    opt::syrk_with(a.view(), c.view(), geo);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_k=" << geo.panel_k << " micro_rows=" << geo.micro_rows
-            << " at (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-TEST(TuneGeometry, EverySyrkCandidateIsBitIdenticalThreaded) {
-  // The threaded syrk chunks the long dimension in kSyrkNumericK substeps,
-  // so the chunk partition — and every accumulation chain — is a function
-  // of (n, pool size) only, never of the tuner's panel depth.
-  threading::ThreadPool pool(3);
-  const std::size_t m = 21, n = 700;
-  const Matrix a = random_matrix(m, n, 66);
-  Matrix ref(m, m);
-  opt::syrk_with(a.view(), ref.view(), tune::SyrkGeometry{}, pool);
-  for (const tune::SyrkGeometry& geo : tune::syrk_candidates()) {
-    Matrix c(m, m);
-    opt::syrk_with(a.view(), c.view(), geo, pool);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t j = 0; j < m; ++j) {
-        ASSERT_EQ(c(i, j), ref(i, j))
-            << "panel_k=" << geo.panel_k << " micro_rows=" << geo.micro_rows;
-      }
-    }
-  }
-}
-
-TEST(TuneGeometry, CandidatesStayWithinReferenceTolerance) {
-  // Identical to each other is necessary but not sufficient — anchor the
-  // shared bits to the double-precision reference too.
-  const std::size_t m = 9, n = 300, k = 12;
-  const Matrix a = random_matrix(m, k, 67);
-  const Matrix b = random_matrix(n, k, 68);
-  Matrix c(m, n);
-  opt::gemm_nt_with(a.view(), b.view(), c.view(),
-                    tune::GemmGeometry{128, 2});
-  Matrix want(m, n);
-  reference::gemm_nt(a.view(), b.view(), want.view());
-  EXPECT_LE(reference::max_abs_diff(want.view(), c.view()), tolerance(k));
 }
 
 }  // namespace

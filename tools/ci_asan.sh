@@ -1,8 +1,9 @@
 #!/bin/sh
 # Address+UB sanitizer gate for the memory-sensitive layers: configures a
 # separate build tree with -DFCMA_SANITIZE=address,undefined, builds the
-# data-plane test binaries (shard store mmap lifecycle, streamed epoch
-# cache, fmri io, pipeline stages), and runs them instrumented.  Any heap
+# data-plane test binaries (shard store mmap lifecycle, checkpoint and
+# JSON mutation fuzzing, streamed epoch cache, fmri io, pipeline stages),
+# and runs them instrumented.  Any heap
 # error, leak, or UB report fails the script (halt_on_error); environments
 # where ASan cannot compile or run (no libasan, restricted ptrace/ASLR)
 # skip with exit 77, which CTest maps to "skipped" via SKIP_RETURN_CODE.
@@ -42,7 +43,8 @@ cmake -S "$SRC" -B "$BUILD" \
 
 JOBS=$(nproc 2>/dev/null || echo 4)
 cmake --build "$BUILD" \
-  --target test_shard_store test_epoch_source test_fmri test_fcma_stages \
+  --target test_shard_store test_checkpoint_fuzz test_epoch_source \
+  test_fmri test_fcma_stages \
   -j "$JOBS" > /dev/null
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
@@ -51,6 +53,9 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Panel keepalives — exactly the lifetime bugs ASan catches.
 echo "ci_asan: running test_shard_store under ASan+UBSan"
 "$BUILD/tests/test_shard_store"
+# Mutants of an untrusted checkpoint: a parser overrun shows up here.
+echo "ci_asan: running test_checkpoint_fuzz under ASan+UBSan"
+"$BUILD/tests/test_checkpoint_fuzz"
 echo "ci_asan: running test_epoch_source under ASan+UBSan"
 "$BUILD/tests/test_epoch_source"
 echo "ci_asan: running test_fmri under ASan+UBSan"
